@@ -3,8 +3,8 @@
 Runs a seeded two-agent :class:`CooperSession` (the full OBU loop: scan →
 ROI → compress → transmit → align/merge → SPOD) with the stage profiler
 enabled, benchmarks the SPOD inference engine on the session's merged
-clouds (a float32/float64 × cached/uncached rulebook matrix, a detect-stage
-breakdown and a batched-vs-per-agent comparison, under a ``"detect"`` key),
+clouds (a float32/float64 × cached/uncached rulebook matrix and a
+detect-stage breakdown, under a ``"detect"`` key),
 then sweeps the ``repro.runtime`` parallel executor over a multi-case
 workload (the Fig. 4 KITTI case set) at several worker counts, and writes
 everything to ``results/BENCH_pipeline.json``.  Track that file across
@@ -22,7 +22,7 @@ Runs two ways:
   section of an existing report.
 
 Regression guards are *ratios* between configurations measured in the same
-process (cached vs uncached, float32 vs float64, batched vs per-agent) —
+process (cached vs uncached, float32 vs float64) —
 never absolute wall-clock thresholds — so they hold on any CI hardware.
 The parallel sweep also re-verifies the determinism contract: every
 worker count must reproduce the ``workers=1`` results bit-for-bit
@@ -242,38 +242,14 @@ def _profile_detect_pass(detector: SPOD, clouds: list) -> dict:
     return {"stages": stages, "counters": counters}
 
 
-def _session_detect_stats(batch_detection: bool, duration_seconds: float) -> dict:
-    """``cooper.detect`` stats of one profiled session run."""
-    session = build_session()
-    session.batch_detection = batch_detection
-    # Earlier matrix passes leave warm rulebooks behind; this section
-    # claims to measure a fresh session, so start it cold.
-    RULEBOOK_CACHE.clear()
-    PROFILER.reset()
-    PROFILER.enable()
-    try:
-        session.run(
-            duration_seconds=duration_seconds, period_seconds=1.0, seed=SEED
-        )
-    finally:
-        PROFILER.disable()
-    stats = PROFILER.stats("cooper.detect")
-    PROFILER.reset()
-    return {
-        "count": stats.count if stats else 0,
-        "mean_ms": round(stats.mean * 1e3, 3) if stats else 0.0,
-    }
-
-
 def run_detect_bench(duration_seconds: float = 4.0, repeats: int = 3) -> dict:
     """Benchmark the SPOD inference engine; return the ``"detect"`` section.
 
     Times every (dtype x rulebook-cache) configuration over the session's
     merged clouds, records each mean against the seed baseline
     (:data:`SEED_DETECT_BASELINE_MS`), verifies float32/float64 detection
-    parity, captures the detect-stage breakdown of the inference
-    configuration, and compares the session's batched detection path
-    against the per-agent one.
+    parity and captures the detect-stage breakdown of the inference
+    configuration.
     """
     clouds = collect_detect_workload(duration_seconds)
     detectors = {
@@ -318,10 +294,6 @@ def run_detect_bench(duration_seconds: float = 4.0, repeats: int = 3) -> dict:
         "matrix": matrix,
         "parity": parity,
         "stage_breakdown": _profile_detect_pass(detectors["float32"], clouds),
-        "session": {
-            "batched": _session_detect_stats(True, duration_seconds),
-            "per_agent": _session_detect_stats(False, duration_seconds),
-        },
     }
 
 
@@ -350,15 +322,6 @@ def check_detect_guards(detect: dict) -> None:
         "float32 kernels regressed: "
         f"{mean('float32_uncached')}ms vs float64 {mean('float64_uncached')}ms"
     )
-    session = detect["session"]
-    assert (
-        session["batched"]["mean_ms"]
-        <= session["per_agent"]["mean_ms"] / slack
-    ), (
-        "batched detection regressed: "
-        f"{session['batched']['mean_ms']}ms vs per-agent "
-        f"{session['per_agent']['mean_ms']}ms"
-    )
     parity = detect["parity"]
     assert parity["counts_match"], (
         "float32 changed the detection count: "
@@ -385,11 +348,6 @@ def render_detect_table(detect: dict) -> str:
             f"{config:>18s} {entry['mean_ms']:9.2f} "
             f"{entry['speedup_vs_seed']:7.2f}x"
         )
-    session = detect["session"]
-    lines.append(
-        f"session cooper.detect: batched {session['batched']['mean_ms']:.2f} ms"
-        f" vs per-agent {session['per_agent']['mean_ms']:.2f} ms"
-    )
     parity = detect["parity"]
     lines.append(
         f"parity: {parity['float32_detections']} float32 vs "

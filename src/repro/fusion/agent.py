@@ -32,7 +32,6 @@ bit-identical at any worker count.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -308,13 +307,6 @@ class CooperSession:
             and every rig (None — the clean-world behaviour).
         resilience: the graceful-degradation knobs (defaults are inert in
             a fault-free run: nothing is ever stale, insane or dark).
-        batch_detection: when every agent's detector is interchangeable
-            (:meth:`repro.detection.spod.SPOD.equivalent_to`), fuse all
-            agents first and run detection as ONE batched RPN pass per
-            step instead of one per agent.  The batched pass always runs
-            parent-side over the full agent set, so its batch composition
-            — and therefore its results — cannot depend on the worker
-            count.  Set False to force the per-agent path.
         temporal: carry per-agent frame-delta state (``repro.temporal``)
             across steps — scan geometry cache, incremental voxelisation,
             rulebook patching and the detect memo.  Warm-path logs are
@@ -354,7 +346,6 @@ class CooperSession:
     framer: MessageFramer = field(default_factory=MessageFramer)
     faults: FaultPlan | None = None
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
-    batch_detection: bool = True
     temporal: bool = False
     temporal_config: TemporalConfig | None = None
     fusion_mode: str = "raw"
@@ -366,7 +357,6 @@ class CooperSession:
     degradation: dict[str, int] = field(
         default_factory=dict, init=False, repr=False
     )
-    _shared_detector: SPOD | None = field(default=None, init=False, repr=False)
     _health: dict[str, PeerHealth] = field(
         default_factory=dict, init=False, repr=False
     )
@@ -394,10 +384,12 @@ class CooperSession:
 
         ``workers`` > 1 runs each agent's observe -> package and fuse ->
         detect work of every step on a forked worker pool (``None`` defers
-        to ``REPRO_WORKERS``, default 1).  Logs are bit-identical at any
-        worker count even with ``faults`` set: sensing, channel and fault
-        seeds are derived per (step, agent) independently of scheduling,
-        and all delivery/resilience decisions run in the parent.
+        to ``REPRO_WORKERS``, default 1); an agent's detector runs in the
+        worker that fused its cloud, so only detections come back.  Logs
+        are bit-identical at any worker count even with ``faults`` set:
+        sensing, channel and fault seeds are derived per (step, agent)
+        independently of scheduling, and all delivery/resilience
+        decisions run in the parent.
         """
         if period_seconds <= 0:
             raise ValueError("period_seconds must be positive")
@@ -417,7 +409,6 @@ class CooperSession:
         self._stale_cache = StalePackageCache(
             max_age_steps=self.resilience.max_stale_steps
         )
-        self._shared_detector = self._resolve_shared_detector()
         worker_temporal_config = None
         if self.temporal:
             worker_temporal_config = self.temporal_config or TemporalConfig()
@@ -460,45 +451,6 @@ class CooperSession:
                             logs, float(t), step_index, seed, pool=pool
                         )
         return logs
-
-    # -- batched detection -------------------------------------------------
-    def _resolve_shared_detector(self) -> SPOD | None:
-        """The detector to batch every agent's step through, if any.
-
-        Resolved once per :meth:`run`: all agents' detectors must be
-        interchangeable (equal config, dtype and live weights — identity
-        is not required, since the default agent factory builds
-        separate-but-identical instances).  ``None`` keeps the per-agent
-        path.
-        """
-        if not self.batch_detection or len(self.agents) < 2:
-            return None
-        first = self.agents[0].cooper.detector
-        for agent in self.agents[1:]:
-            if not first.equivalent_to(agent.cooper.detector):
-                return None
-        return first
-
-    def _detect_batched(
-        self, merged_clouds: list, temporals: list | None = None
-    ) -> list[list[Detection]]:
-        """One batched detector pass over every agent's fused cloud.
-
-        Always runs in the parent over the full agent set (batch
-        composition must not depend on worker layout).  The wall-clock
-        cost is attributed to ``cooper.detect`` in equal per-agent shares
-        so profiler totals keep reconciling with the per-agent path.
-        """
-        detector = self._shared_detector
-        start = time.perf_counter()
-        all_detections = detector.detect_batch(merged_clouds, temporals=temporals)
-        share = (time.perf_counter() - start) / max(1, len(merged_clouds))
-        threshold = detector.config.detection_threshold
-        kept: list[list[Detection]] = []
-        for detections in all_detections:
-            PROFILER.record("cooper.detect", share)
-            kept.append([d for d in detections if d.score >= threshold])
-        return kept
 
     # -- degradation accounting -------------------------------------------
     def _count(self, name: str, value: int = 1) -> None:
@@ -899,30 +851,13 @@ class CooperSession:
             inboxes[agent.name] = (received, delivered_flags, stale)
 
         self._fuse_invalidations(outcomes, inboxes)
-        if self._shared_detector is not None:
-            merged = [
-                agent.cooper.fuse(
-                    observations[agent.name].scan.cloud,
-                    observations[agent.name].measured_pose,
-                    inboxes[agent.name][0],
-                )[0]
-                for agent in self.agents
-            ]
-            detections_by_agent = self._detect_batched(
-                merged,
-                temporals=[self._temporal.get(a.name) for a in self.agents],
-            )
-        else:
-            detections_by_agent = [
-                agent.perceive(
-                    observations[agent.name],
-                    inboxes[agent.name][0],
-                    temporal=self._temporal.get(agent.name),
-                )
-                for agent in self.agents
-            ]
-        for agent, detections in zip(self.agents, detections_by_agent):
+        for agent in self.agents:
             received, delivered_flags, stale = inboxes[agent.name]
+            detections = agent.perceive(
+                observations[agent.name],
+                received,
+                temporal=self._temporal.get(agent.name),
+            )
             logs[agent.name].append(
                 AgentStep(
                     time=t,
@@ -950,12 +885,9 @@ class CooperSession:
         Phase 2 (parent): the shared DSRC channel, fault plan and
         resilience state decide each receiver's inbox — cheap, and keeps
         the link model and all stateful decisions in one place.
-        Phase 3 (workers): decode + fuse (+ detect on the per-agent
-        path), one task per agent.  With batched detection active the
-        workers stop after fusing and the parent runs the single batched
-        detector pass over every agent — the same call, over the same
-        clouds, that the inline path makes, so logs stay bit-identical
-        at any worker count.
+        Phase 3 (workers): decode + fuse + detect, one task per agent —
+        the merged cloud never leaves the worker that built it, only the
+        decoded packages and detections come back.
         Seeds match :meth:`_step` exactly, so logs are bit-identical.
         Temporal-state decisions (which caches to invalidate, and when)
         are made here in the parent and shipped inside the task payloads;
@@ -999,40 +931,18 @@ class CooperSession:
         }
         fuse_invalidations = self._fuse_invalidations(outcomes, inboxes)
 
-        if self._shared_detector is not None:
-            fused = pool.map(
-                _fuse_task,
-                [
-                    (i, observations[agent.name], inboxes[agent.name][0])
-                    for i, agent in enumerate(self.agents)
-                ],
-            )
-            # Batched detection runs parent-side, so it uses the
-            # parent's temporal states — deterministic at any worker
-            # count, and the detect memo works even with workers > 1.
-            detections_by_agent = self._detect_batched(
-                [cloud for _received, cloud in fused],
-                temporals=[self._temporal.get(a.name) for a in self.agents],
-            )
-            perceived = [
-                (received, detections)
-                for (received, _cloud), detections in zip(
-                    fused, detections_by_agent
+        perceived = pool.map(
+            _perceive_task,
+            [
+                (
+                    i,
+                    observations[agent.name],
+                    inboxes[agent.name][0],
+                    fuse_invalidations[agent.name],
                 )
-            ]
-        else:
-            perceived = pool.map(
-                _perceive_task,
-                [
-                    (
-                        i,
-                        observations[agent.name],
-                        inboxes[agent.name][0],
-                        fuse_invalidations[agent.name],
-                    )
-                    for i, agent in enumerate(self.agents)
-                ],
-            )
+                for i, agent in enumerate(self.agents)
+            ],
+        )
         for agent, (received, detections) in zip(self.agents, perceived):
             _payloads, delivered_flags, stale = inboxes[agent.name]
             fresh = len(received) - stale
@@ -1122,44 +1032,6 @@ class CooperSession:
             wire[name] = (payload, len(payload) * 8)
         return wire
 
-    def _detect_fused(
-        self,
-        fused: list[tuple[list[FeaturePackage], np.ndarray | None, object]],
-    ) -> list[list[Detection]]:
-        """RPN + analytic decode over every agent's fused feature map.
-
-        Always runs in the parent, in both execution paths.  The RPN
-        treats batch rows independently, so batching through the shared
-        detector produces the same per-agent output as separate passes —
-        logs cannot depend on whether detectors were interchangeable.
-        Agents with no BEV map this step (empty scan, or nothing fused)
-        detect nothing.
-        """
-        detections: list[list[Detection]] = [[] for _ in self.agents]
-        live = [i for i, (_r, bev, _e) in enumerate(fused) if bev is not None]
-        if not live:
-            return detections
-        with PROFILER.stage("cooper.detect"):
-            if self._shared_detector is not None:
-                detector = self._shared_detector
-                batch = np.concatenate([fused[i][1] for i in live], axis=0)
-                cls_logits, reg = detector.rpn_apply(batch)
-                for row, i in enumerate(live):
-                    detections[i] = decode_fused(
-                        detector,
-                        cls_logits[row : row + 1],
-                        reg[row : row + 1],
-                        fused[i][2],
-                    )
-            else:
-                for i in live:
-                    detector = self.agents[i].cooper.detector
-                    cls_logits, reg = detector.rpn_apply(fused[i][1])
-                    detections[i] = decode_fused(
-                        detector, cls_logits, reg, fused[i][2]
-                    )
-        return detections
-
     def _step_features(
         self,
         logs: dict[str, list[AgentStep]],
@@ -1178,12 +1050,12 @@ class CooperSession:
         shared channel/scheduler/fault/breaker machinery decides each
         broadcast's fate, and every transmission lands in the
         :attr:`comm` ledger.  Phase 3: each receiver aligns and
-        maxout-fuses its inbox onto its own grid — inline the phase-1
-        tap is reused; a worker recomputes it (a pure function of the
-        observation, so the result is identical) because sparse tensors
-        stay worker-local.  Detection over the fused maps then runs in
-        the parent, batched when detectors are interchangeable.  Seeds
-        and every stateful decision match the inline path, so logs are
+        maxout-fuses its inbox onto its own grid, then detects over the
+        fused map — inline the phase-1 tap is reused; a worker recomputes
+        it (a pure function of the observation, so the result is
+        identical) because sparse tensors stay worker-local, and ships
+        back only the decoded packages and detections.  Seeds and every
+        stateful decision match the inline path, so logs are
         bit-identical at any worker count.
         """
         gated = self.fusion_mode == "gated"
@@ -1242,8 +1114,8 @@ class CooperSession:
         }
 
         if pool is None:
-            fused = [
-                _fuse_features_one(
+            perceived = [
+                _perceive_features(
                     agent.cooper.detector,
                     observations[agent.name],
                     taps[agent.name],
@@ -1252,17 +1124,14 @@ class CooperSession:
                 for agent in self.agents
             ]
         else:
-            fused = pool.map(
-                _feature_fuse_task,
+            perceived = pool.map(
+                _feature_perceive_task,
                 [
                     (i, observations[agent.name], inboxes[agent.name][0])
                     for i, agent in enumerate(self.agents)
                 ],
             )
-        detections_by_agent = self._detect_fused(fused)
-        for agent, detections, (received, _bev, _evidence) in zip(
-            self.agents, detections_by_agent, fused
-        ):
+        for agent, (received, detections) in zip(self.agents, perceived):
             name = agent.name
             _payloads, delivered_flags, stale = inboxes[name]
             fresh = len(received) - stale
@@ -1316,21 +1185,20 @@ def _lite_tap(
     )
 
 
-def _fuse_features_one(
+def _perceive_features(
     detector: SPOD,
     observation: RigObservation,
     tap: dict | None,
     payloads: list[bytes],
-) -> tuple[list[FeaturePackage], np.ndarray | None, object]:
-    """Decode + align + maxout-fuse one receiver's feature inbox.
+) -> tuple[list[FeaturePackage], list[Detection]]:
+    """Decode + align + maxout-fuse one receiver's feature inbox, then detect.
 
-    Returns ``(received, bev, evidence)``; ``bev`` is ``None`` when the
-    agent has no tap (empty scan) or nothing fused, which the detection
-    stage maps to zero detections.
+    Returns ``(received, detections)``.  An agent with no tap (empty
+    scan) or nothing fused detects nothing.
     """
     received = [FeaturePackage.deserialize(p) for p in payloads]
     if tap is None:
-        return received, None, None
+        return received, []
     spec = detector.config.voxel_spec
     fused = fuse_feature_packages(
         spec,
@@ -1340,10 +1208,12 @@ def _fuse_features_one(
         observation.measured_pose,
     )
     if len(fused.coords) == 0:
-        return received, None, None
+        return received, []
     bev = feature_bev(detector, fused)
     evidence = decode_evidence(tap["pre"], fused.proxy_xyz)
-    return received, bev, evidence
+    with PROFILER.stage("cooper.detect"):
+        cls_logits, reg = detector.rpn_apply(bev)
+        return received, decode_fused(detector, cls_logits, reg, evidence)
 
 
 #: Session state installed in each worker by :func:`_session_worker_init`;
@@ -1419,22 +1289,6 @@ def _perceive_task(
     return received, agent.perceive(observation, received, temporal=state)
 
 
-def _fuse_task(payload: tuple[int, RigObservation, list[bytes]]):
-    """Phase-3 worker task (batched mode): decode + fuse, no detection.
-
-    Fusion is a pure function of the observation and payloads, so doing
-    it in a worker instead of the parent cannot change the merged cloud;
-    the parent then batches detection over every agent's result.
-    """
-    agent_index, observation, package_payloads = payload
-    agent = _WORKER_AGENTS[agent_index]
-    received = [ExchangePackage.deserialize(p) for p in package_payloads]
-    merged, _accepted, _rejected, _seconds = agent.cooper.fuse(
-        observation.scan.cloud, observation.measured_pose, received
-    )
-    return received, merged
-
-
 def _observe_tap_task(
     payload: tuple[int, float, int, SensorFaults | None, bool],
 ) -> tuple[RigObservation, np.ndarray, np.ndarray, np.ndarray | None]:
@@ -1457,18 +1311,17 @@ def _observe_tap_task(
     return observation, coords, features, heat
 
 
-def _feature_fuse_task(
+def _feature_perceive_task(
     payload: tuple[int, RigObservation, list[bytes]],
-) -> tuple[list[FeaturePackage], np.ndarray | None, object]:
-    """Phase-3 worker task (feature modes): re-tap, decode and fuse.
+) -> tuple[list[FeaturePackage], list[Detection]]:
+    """Phase-3 worker task (feature modes): re-tap, decode, fuse, detect.
 
-    The tap is recomputed from the observation (deterministic), the
-    inbox payloads are decoded and fused, and the dense BEV + decode
-    evidence ship back for the parent's detection pass.
+    The tap is recomputed from the observation (deterministic); the
+    dense BEV map and decode evidence stay in the worker.
     """
     agent_index, observation, package_payloads = payload
     agent = _WORKER_AGENTS[agent_index]
     detector = agent.cooper.detector
     tapped = _tap_features(detector, observation.scan.cloud, want_heat=False)
     tap = None if tapped is None else tapped[0]
-    return _fuse_features_one(detector, observation, tap, package_payloads)
+    return _perceive_features(detector, observation, tap, package_payloads)

@@ -41,6 +41,9 @@ __all__ = [
 _GROUND_LABEL = "__ground__"
 _GROUND_REFLECTANCE = 0.2
 
+#: ``(box, ray)`` pairs per slab-test block in :func:`_ray_boxes_batch`.
+_RAY_BLOCK_ELEMENTS = 1 << 16
+
 
 @dataclass(frozen=True)
 class BeamPattern:
@@ -421,12 +424,15 @@ def _ray_boxes_batch(
 ) -> np.ndarray:
     """Nearest-hit distances of shared-origin rays against many boxes.
 
-    One slab test over all ``(box, ray)`` pairs at once, axis by axis so no
-    temporary grows beyond ``(A, N)``.  Boxes are yaw-only rotated, so each
-    box's frame is a 2D rotation of x/y with z passed through.  Returns an
-    ``(A, N)`` array with +inf for misses and hits behind the origin.
+    One slab test over all ``(box, ray)`` pairs, run over blocks of
+    :data:`_RAY_BLOCK_ELEMENTS` pairs so every temporary stays small
+    enough for the allocator to recycle: whole-scan ``(A, N)`` temporaries
+    are mapped fresh and page-faulted on every array operation.  Every
+    operation is elementwise, so the blocking cannot change a bit of the
+    result.  Boxes are yaw-only rotated, so each box's frame is a 2D
+    rotation of x/y with z passed through.  Returns an ``(A, N)`` array
+    with +inf for misses and hits behind the origin.
     """
-    num_boxes = len(boxes)
     origin = np.asarray(origin, dtype=float)
     yaws = np.array([b.yaw for b in boxes])
     centers = np.array([b.center for b in boxes], dtype=float)
@@ -439,29 +445,33 @@ def _ray_boxes_batch(
     rel = origin[None, :] - centers  # (A, 3)
     local_origin_x = cos_y * rel[:, 0] + sin_y * rel[:, 1]
     local_origin_y = -sin_y * rel[:, 0] + cos_y * rel[:, 1]
-    dx, dy, dz = directions[:, 0], directions[:, 1], directions[:, 2]
-    local_dirs_x = cos_y[:, None] * dx[None, :] + sin_y[:, None] * dy[None, :]
-    local_dirs_y = -sin_y[:, None] * dx[None, :] + cos_y[:, None] * dy[None, :]
-    local_dirs_z = np.broadcast_to(dz[None, :], local_dirs_x.shape)
+    out = np.empty((len(boxes), len(directions)))
+    step = max(1, _RAY_BLOCK_ELEMENTS // max(1, len(boxes)))
+    for start in range(0, len(directions), step):
+        dx, dy, dz = directions[start : start + step].T
+        local_dirs_x = cos_y[:, None] * dx[None, :] + sin_y[:, None] * dy[None, :]
+        local_dirs_y = -sin_y[:, None] * dx[None, :] + cos_y[:, None] * dy[None, :]
+        local_dirs_z = np.broadcast_to(dz[None, :], local_dirs_x.shape)
 
-    t_near = np.full(local_dirs_x.shape, -np.inf)
-    t_far = np.full(local_dirs_x.shape, np.inf)
-    slabs = (
-        (local_dirs_x, local_origin_x, halves[:, 0]),
-        (local_dirs_y, local_origin_y, halves[:, 1]),
-        (local_dirs_z, rel[:, 2], halves[:, 2]),
-    )
-    for local_dir, local_orig, half in slabs:
-        d = np.where(np.abs(local_dir) < 1e-12, 1e-12, local_dir)
-        inv = 1.0 / d
-        t_a = (-half[:, None] - local_orig[:, None]) * inv
-        t_b = (half[:, None] - local_orig[:, None]) * inv
-        np.maximum(t_near, np.minimum(t_a, t_b), out=t_near)
-        np.minimum(t_far, np.maximum(t_a, t_b), out=t_far)
+        t_near = np.full(local_dirs_x.shape, -np.inf)
+        t_far = np.full(local_dirs_x.shape, np.inf)
+        slabs = (
+            (local_dirs_x, local_origin_x, halves[:, 0]),
+            (local_dirs_y, local_origin_y, halves[:, 1]),
+            (local_dirs_z, rel[:, 2], halves[:, 2]),
+        )
+        for local_dir, local_orig, half in slabs:
+            d = np.where(np.abs(local_dir) < 1e-12, 1e-12, local_dir)
+            inv = 1.0 / d
+            t_a = (-half[:, None] - local_orig[:, None]) * inv
+            t_b = (half[:, None] - local_orig[:, None]) * inv
+            np.maximum(t_near, np.minimum(t_a, t_b), out=t_near)
+            np.minimum(t_far, np.maximum(t_a, t_b), out=t_far)
 
-    hit = (t_near <= t_far) & (t_far >= 0)
-    t = np.where(t_near >= 0, t_near, t_far)  # inside-box rays exit forward
-    return np.where(hit, t, np.inf)
+        hit = (t_near <= t_far) & (t_far >= 0)
+        t = np.where(t_near >= 0, t_near, t_far)  # inside-box rays exit forward
+        out[:, start : start + step] = np.where(hit, t, np.inf)
+    return out
 
 
 def _ray_box_batch(origin: np.ndarray, directions: np.ndarray, box) -> np.ndarray:

@@ -22,15 +22,15 @@ PerceptionRequest`\\ s into scheduled, batched, SLO-tracked work:
   partial batch.  The batching window re-anchors whenever admission
   displaces the oldest queued request, so a displaced head-of-queue
   request can never leave a stale timer behind.  Detect-class batches run
-  through one :meth:`~repro.detection.spod.SPOD.detect_batch` call (the
-  PR-4 batched RPN pass); FUSE_DETECT requests are fused first — fanned
+  through one :meth:`~repro.detection.spod.SPOD.detect_batch` call (a
+  per-cloud detector loop); FUSE_DETECT requests are fused first — fanned
   out across a :class:`~repro.runtime.WorkerPool` when ``workers > 1`` —
   and ROI answers batch separately as pure geometry.
 * **Heterogeneous detectors** — an engine may own several named detector
   models (a mixed fleet).  Models whose detectors are interchangeable
   (:meth:`~repro.detection.spod.SPOD.equivalent_to`) share one batch
-  group; requests co-batch only within their group, so a batched pass is
-  always numerically sound.
+  group; requests co-batch only within their group, so one detector can
+  serve a whole batch.
 * **Closed-loop clients** — alongside the open-loop trace, the engine
   accepts :class:`~repro.serve.workload.ClosedLoopClient` control loops
   that issue their next request only after the previous one reached a
@@ -303,12 +303,12 @@ class ServingEngine:
 
     One engine owns one or more named detectors plus a bounded queue and
     ``lanes`` virtual service lanes.  Detector models are grouped by
-    :meth:`SPOD.equivalent_to` — exactly the session's batched-path
-    compatibility key — and detect-class requests batch only within their
-    model's group, so every batched pass is sound by construction.
+    :meth:`SPOD.equivalent_to` (equal config, dtype and weights), and
+    detect-class requests batch only within their model's group, so one
+    detector can serve every request of a batch.
     ``workers`` fans the *fusion and ROI geometry* work of each dispatch
-    across a :class:`~repro.runtime.WorkerPool`; the batched detector
-    pass always runs in the parent so batch composition and numerics
+    across a :class:`~repro.runtime.WorkerPool`; the detector pass over
+    a batch always runs in the parent so batch composition and numerics
     cannot depend on worker layout.
     """
 
@@ -835,8 +835,8 @@ class ServingEngine:
         group: str,
         pool: WorkerPool | None,
     ) -> list[int]:
-        """Fuse where needed, then one batched detector pass; returns
-        per-request detection counts.
+        """Fuse where needed, then one detector pass over the batch;
+        returns per-request detection counts.
 
         Fusion is a pure function of (cloud, pose, packages), so fanning
         it to workers cannot change the merged clouds; the detector pass

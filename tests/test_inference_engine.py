@@ -2,10 +2,10 @@
 
 Covers the inference-path contracts the bench relies on: the float32
 kernel path agrees with the float64 training path on the Fig. 4 cases,
-batched multi-agent detection equals the per-cloud path, empty/blackout
-inputs degrade to empty results end to end, Conv2d's zero-channel pruning
-is exact, and the session's batched path stays bit-identical across
-worker counts at a fixed dtype.
+``detect_batch`` equals the per-cloud path, empty/blackout inputs degrade
+to empty results end to end, Conv2d's zero-channel pruning is exact, and
+session logs stay bit-identical across worker counts at a fixed dtype and
+with agents of mixed dtypes.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from repro.detection.spod import SPOD, SPODConfig
 from repro.eval.experiments import run_case
 from repro.fusion.align import merge_packages
 from repro.pointcloud.cloud import PointCloud
+from repro.temporal import TemporalState
 
 
 @pytest.fixture(autouse=True)
@@ -96,23 +97,39 @@ class TestFloat32Agreement:
 
 class TestBatchedDetection:
     def test_detect_batch_matches_per_cloud(self, fig04_case, detector_f32):
-        clouds = [
+        observed = [
             fig04_case.cloud_of(observer)
             for observer in fig04_case.observer_names
         ]
-        clouds.append(
-            merge_packages(
-                fig04_case.cloud_of(fig04_case.receiver),
-                fig04_case.packages_for_receiver(),
-                fig04_case.receiver_measured_pose(),
-            )
+        merged = merge_packages(
+            fig04_case.cloud_of(fig04_case.receiver),
+            fig04_case.packages_for_receiver(),
+            fig04_case.receiver_measured_pose(),
         )
-        batched = detector_f32.detect_batch(clouds)
+        empty = PointCloud(np.zeros((0, 4)))
+        # A state that already holds ``merged`` answers from its memo.
+        memo = TemporalState()
+        detector_f32.detect_all(merged, temporal=memo)
+        cases = [
+            (empty, TemporalState()),
+            *((cloud, None) for cloud in observed),
+            (merged, memo),
+            (observed[0], TemporalState()),
+            (empty, None),
+        ]
+        clouds = [cloud for cloud, _state in cases]
+        batched = detector_f32.detect_batch(
+            clouds, [state for _cloud, state in cases]
+        )
+        assert len(batched) == len(clouds)
+        assert batched[0] == [] and batched[-1] == []
+        assert memo.detect_hits == 1
         for cloud, batch_dets in zip(clouds, batched):
             solo = detector_f32.detect_all(cloud)
             assert len(batch_dets) == len(solo)
             for a, b in zip(batch_dets, solo):
                 np.testing.assert_array_equal(a.box.center, b.box.center)
+                assert a.box.yaw == b.box.yaw
                 assert a.score == b.score
 
     def test_detect_batch_handles_empty_clouds(self, detector_f32, fig04_case):
@@ -139,17 +156,28 @@ class TestEquivalenceGating:
         next(iter(b.parameters())).value[...] += 1.0
         assert not a.equivalent_to(b)
 
-    def test_session_falls_back_to_per_agent_on_mixed_detectors(self):
+    def test_mixed_dtype_session_worker_identity(self):
         from repro.fusion.cooper import Cooper
-        from tests.test_runtime import _toy_session
+        from repro.runtime import fork_available
+        from tests.test_runtime import _canonical_logs, _toy_session
 
-        session = _toy_session(SPOD.pretrained())
-        assert session._resolve_shared_detector() is not None
-        # Give one agent a float64 detector: batching must disengage.
-        session.agents[1].cooper = Cooper(
-            detector=SPOD.pretrained(SPODConfig(dtype="float64"))
-        )
-        assert session._resolve_shared_detector() is None
+        if not fork_available():
+            pytest.skip("fork start method unavailable")
+
+        def run(workers: int):
+            session = _toy_session(SPOD.pretrained())
+            # One float32 and one float64 agent: each detects with its own.
+            session.agents[1].cooper = Cooper(
+                detector=SPOD.pretrained(SPODConfig(dtype="float64"))
+            )
+            return session.run(
+                duration_seconds=2.0, period_seconds=1.0, seed=0,
+                workers=workers,
+            )
+
+        serial = run(1)
+        assert any(step.detections for steps in serial.values() for step in steps)
+        assert _canonical_logs(serial) == _canonical_logs(run(2))
 
 
 class TestBlackoutEndToEnd:

@@ -178,3 +178,25 @@ class TestScan:
         distances = np.linalg.norm(scan.cloud.xyz, axis=1)
         assert distances.max() <= pattern.max_range + 1e-3
         assert distances.min() >= lidar.min_range - 1e-3
+
+
+class TestBlockedSlabTest:
+    @pytest.mark.parametrize("block", [1, 7, 1000])
+    def test_ray_blocks_do_not_change_hits(self, monkeypatch, block):
+        from repro.sensors import lidar
+
+        boxes = [
+            make_car(10.0, 0.0, name="a").box,
+            make_car(-6.0, 4.0, yaw=0.7, name="b").box,
+            make_building(0.0, -15.0, yaw=0.2, name="c").box,
+        ]
+        origin = np.array([0.0, 0.0, 1.73])
+        directions = LidarModel(pattern=VLP_16).ray_directions()
+
+        def hits(block_elements):
+            monkeypatch.setattr(lidar, "_RAY_BLOCK_ELEMENTS", block_elements)
+            return lidar._ray_boxes_batch(origin, directions, boxes)
+
+        whole = hits(len(boxes) * len(directions))
+        assert np.isfinite(whole).any(axis=1).all()  # every box is hit
+        np.testing.assert_array_equal(hits(block), whole)

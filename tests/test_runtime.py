@@ -389,3 +389,56 @@ class TestParallelSession:
             duration_seconds=2.0, period_seconds=1.0, seed=0, workers=2
         )
         assert _canonical_logs(serial) == _canonical_logs(parallel)
+
+
+@needs_fork
+class TestDetectionRunsInWorkers:
+    """Each agent's fuse -> detect is one worker task: only the decoded
+    packages and detections cross back, never a merged cloud or BEV map."""
+
+    STEPS = 2
+
+    def _assert_phase3_ships_no_clouds(self, monkeypatch, session) -> list:
+        from repro.detection.detections import Detection
+        from repro.fusion.feature import FeaturePackage
+        from repro.fusion.package import ExchangePackage
+        from repro.pointcloud.cloud import PointCloud
+
+        calls: list[list] = []
+        original = WorkerPool.map
+
+        def recording_map(pool, fn, items):
+            results = original(pool, fn, items)
+            calls.append(results)
+            return results
+
+        monkeypatch.setattr(WorkerPool, "map", recording_map)
+        session.run(
+            duration_seconds=float(self.STEPS), period_seconds=1.0, seed=0,
+            workers=2,
+        )
+        # Every step maps phase 1 (sense + package), then phase 3.
+        assert len(calls) == 2 * self.STEPS
+        results = [result for step in calls[1::2] for result in step]
+        assert len(results) == len(session.agents) * self.STEPS
+        bulky = (PointCloud, np.ndarray)
+        for result in results:
+            assert not any(isinstance(item, bulky) for item in result)
+            received, detections = result
+            assert all(
+                isinstance(p, (ExchangePackage, FeaturePackage))
+                for p in received
+            )
+            assert all(isinstance(d, Detection) for d in detections)
+        return results
+
+    def test_raw_session(self, monkeypatch, detector):
+        self._assert_phase3_ships_no_clouds(monkeypatch, _toy_session(detector))
+
+    def test_gated_session(self, monkeypatch, detector):
+        from repro.eval.chaos import build_chaos_session
+
+        session = build_chaos_session(detector=detector)
+        session.fusion_mode = "gated"
+        results = self._assert_phase3_ships_no_clouds(monkeypatch, session)
+        assert any(detections for _received, detections in results)
